@@ -134,7 +134,7 @@ impl Coordinator {
         self.config.exec.apply();
         let pool = build_pool(spec, train, &self.config);
         let mut cap_scratch = CaptureScratch::new();
-        run_train(
+        run_train_controlled(
             &self.config,
             spec,
             train,
@@ -144,8 +144,9 @@ impl Coordinator {
             seed,
             None,
             false,
+            &RunControl::unbounded(),
         )
-        .map(|(outcome, _)| outcome)
+        .map(|(outcome, _, _)| outcome)
     }
 
     /// The honest ε this coordinator's workflow assigns to a model
@@ -235,36 +236,11 @@ pub(crate) struct PilotState {
     pub(crate) n0: usize,
 }
 
-/// The outcome of the coordinator's decision stage (the ε-dependent part
-/// of the workflow): given a pilot's holdout scores and statistics,
-/// either the initial model already satisfies the contract, or the
-/// minimum sample size for the final training has been determined. The
-/// sweep engine runs this stage per grid point against its batched
-/// scorers; [`run_train`] runs it once.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Decision {
-    /// `ε₀ ≤ ε`: return the initial model.
-    InitialSatisfies {
-        /// Accuracy estimate of the initial model.
-        eps0: f64,
-    },
-    /// The contract needs a final model on `n` examples.
-    Train {
-        /// Accuracy estimate of the initial model.
-        eps0: f64,
-        /// Minimum sample size from the estimator's binary search.
-        n: usize,
-        /// Binary-search probes used.
-        probes: usize,
-    },
-}
-
 /// Degradation-aware run parameters for [`run_train_controlled`]: an
 /// optional cancellation token (deadline pressure), the shed lane
 /// (pilot-only), and the relaxed-final sizing knob. The
 /// [`RunControl::unbounded`] default takes exactly the historical
-/// [`run_train`] path — no token, no extra branches on the numeric
-/// path.
+/// full workflow — no token, no extra branches on the numeric path.
 #[derive(Debug, Clone)]
 pub(crate) struct RunControl {
     /// Cooperative cancellation token; `None` never degrades.
@@ -298,7 +274,14 @@ impl RunControl {
     }
 }
 
-/// Outcome of the degradation-aware decision stage.
+/// The outcome of the coordinator's decision stage (the ε-dependent part
+/// of the workflow): given a pilot's holdout scores and statistics,
+/// either the initial model already satisfies the contract, the pilot
+/// is served degraded, or the minimum sample size for the final
+/// training has been determined. The sweep engine runs this stage per
+/// grid point against its batched scorers (unbounded, so it never
+/// degrades); [`run_train_controlled`] runs it once.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ControlledDecision {
     /// `ε₀ ≤ ε`: return the initial model (a full-rung outcome).
     InitialSatisfies {
@@ -324,39 +307,14 @@ pub(crate) enum ControlledDecision {
     },
 }
 
-/// Decision stage shared by [`run_train`] and the sweep engine: estimate
-/// the pilot's accuracy `ε₀` (sub-seed 1) and, when the contract is not
-/// yet met, binary-search the minimum sample size (sub-seed 2) — both
-/// against one [`HoldoutScorer`], so the θ₀ score matrix is built once.
-pub(crate) fn decide<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    scorer: &HoldoutScorer<'_, F, S>,
-    stats: &crate::stats::ModelStatistics,
-    n0: usize,
-    full_n: usize,
-    seed: u64,
-) -> Decision {
-    match decide_controlled(
-        config,
-        scorer,
-        stats,
-        n0,
-        full_n,
-        seed,
-        &RunControl::unbounded(),
-    ) {
-        ControlledDecision::InitialSatisfies { eps0 } => Decision::InitialSatisfies { eps0 },
-        ControlledDecision::Train { eps0, n, probes } => Decision::Train { eps0, n, probes },
-        ControlledDecision::DegradeToPilot { .. } => {
-            unreachable!("an unbounded control never degrades")
-        }
-    }
-}
-
-/// [`decide`] with deadline / shed awareness: the ε₀ estimate always
-/// completes (it is what makes the pilot rung *honest*), then the shed
-/// lane or an expired token short-circuits to the pilot, and the
-/// binary search itself polls the token before every probe.
+/// The decision stage: estimate the pilot's accuracy `ε₀` (sub-seed 1)
+/// and, when the contract is not yet met, binary-search the minimum
+/// sample size (sub-seed 2) — both against one [`HoldoutScorer`], so
+/// the θ₀ score matrix is built once. Deadline / shed aware: the ε₀
+/// estimate always completes (it is what makes the pilot rung
+/// *honest*), then the shed lane or an expired token short-circuits to
+/// the pilot, and the binary search itself polls the token before every
+/// probe.
 pub(crate) fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
     scorer: &HoldoutScorer<'_, F, S>,
@@ -413,8 +371,9 @@ pub(crate) fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
 
 /// Closing accuracy estimate of a **final** model (the
 /// `estimate_final_accuracy` option): a fresh holdout scorer for `θ_n`
-/// and an accuracy estimate at sub-seed 4. Shared by [`run_train`] and
-/// the sweep engine so both compute the exact same `ε̂`.
+/// and an accuracy estimate at sub-seed 4. Shared by
+/// [`run_train_controlled`] and the sweep engine so both compute the
+/// exact same `ε̂`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn final_accuracy_scored<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     config: &BlinkMlConfig,
@@ -547,44 +506,6 @@ fn fit_sample<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     }
 }
 
-/// The coordinator workflow (paper §2.3), shared by
-/// [`Coordinator::train_with_holdout`] and
-/// [`crate::session::Session::train`]: pilot (train `m₀`, statistics),
-/// accuracy estimate, sample-size search, final training — with the
-/// holdout `DiffEngine` base scores built **once** and shared between
-/// the ε₀ estimate and the search, and samples served from the pool
-/// matrix when one is given.
-///
-/// `pilot` short-circuits the pilot phase with cached artifacts (the
-/// Session amortization); `want_pilot` asks for the artifacts back so
-/// the caller can cache them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_train<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
-    config: &BlinkMlConfig,
-    spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
-    cap_scratch: &mut CaptureScratch,
-    seed: u64,
-    pilot: Option<&PilotState>,
-    want_pilot: bool,
-) -> Result<(TrainingOutcome, Option<PilotState>), CoreError> {
-    run_train_controlled(
-        config,
-        spec,
-        train,
-        holdout,
-        pool,
-        cap_scratch,
-        seed,
-        pilot,
-        want_pilot,
-        &RunControl::unbounded(),
-    )
-    .map(|(outcome, cached, _rung)| (outcome, cached))
-}
-
 /// The pilot-rung outcome of the degradation ladder: return `m₀` with
 /// its honest ε₀ as both the initial and the achieved guarantee.
 fn pilot_rung_outcome(
@@ -607,12 +528,21 @@ fn pilot_rung_outcome(
     }
 }
 
-/// [`run_train`] with deadline / degradation control (the serving
-/// layer's entry point). Returns which [`DegradationRung`] produced the
-/// outcome. The ladder:
+/// The coordinator workflow (paper §2.3), shared by
+/// [`Coordinator::train_with_holdout`], [`crate::session::Session`],
+/// the sweep engine's per-point loop and the serving layer: pilot
+/// (train `m₀`, statistics), accuracy estimate, sample-size search,
+/// final training — with the holdout `DiffEngine` base scores built
+/// **once** and shared between the ε₀ estimate and the search, and
+/// samples served from the pool matrix when one is given.
 ///
-/// 1. **Full** — no pressure: the historical workflow, bit-identical
-///    to [`run_train`].
+/// `pilot` short-circuits the pilot phase with cached artifacts (the
+/// Session amortization); `want_pilot` asks for the artifacts back so
+/// the caller can cache them. `control` adds deadline / degradation
+/// control; [`RunControl::unbounded`] never degrades. Returns which
+/// [`DegradationRung`] produced the outcome. The ladder:
+///
+/// 1. **Full** — no pressure: the historical workflow.
 /// 2. **RelaxedFinal** — [`Pressure::Relax`] at the final-train
 ///    boundary: the final model trains on
 ///    [`relaxed_sample_size`] examples and the response reports the

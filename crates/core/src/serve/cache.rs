@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Cache key for pilot artifacts:
 /// `(dataset_version, epoch, n₀, seed)`.
 ///
-/// `epoch` is the streaming pool's snapshot epoch (always 0 for static
+/// `epoch` is the streaming pool's snapshot epoch (always 0 for frozen
 /// shards). `n₀` is the *effective* initial sample size
 /// (`min(initial_sample_size, N)`), matching what the coordinator
 /// actually trains on, so two configured sizes that clamp to the same

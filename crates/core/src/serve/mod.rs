@@ -5,14 +5,19 @@
 //! queries for **one** caller; this module promotes that amortization to
 //! a concurrent service (the ROADMAP's "millions of users" path — cheap
 //! approximate training is only a serving story if many tenants can
-//! share it). A [`Server`] owns a set of dataset versions and a pool of
-//! worker threads:
+//! share it). A [`Server`] owns a set of registered datasets and a pool
+//! of worker threads:
 //!
-//! * the **pool-resident design matrix** is built once per dataset
-//!   version and shared by every worker (the datasets themselves are
-//!   `Arc`-shared with the caller via [`DatasetShard`]),
+//! * **one query workflow** serves every dataset: a frozen
+//!   [`DatasetShard`] is a stream that never advances (epoch 0 forever)
+//!   and a [`StreamShard`] is an appendable pool; both resolve through
+//!   the same per-dataset entry, pilot cache and drift ladder,
+//! * each dataset's entry keeps its **newest materialized epoch**
+//!   resident (`Arc`-shared train + holdout — a frozen shard's own
+//!   `Arc`s, a stream's epoch materialized once, on first need), and
+//!   every query builds its pool matrix from that resident copy,
 //! * **pilot artifacts** (`m₀` + Fisher statistics) are cached in a
-//!   keyed LRU by `(dataset_version, n₀, seed)` with a configurable
+//!   keyed LRU by `(dataset, epoch, n₀, seed)` with a configurable
 //!   capacity ([`ServeConfig::pilot_cache_capacity`]),
 //! * concurrent queries that miss on the same key **coalesce**: one
 //!   worker (the leader) trains the pilot exactly once, the rest block
@@ -73,14 +78,18 @@
 //!
 //! # Streaming ingest & drift
 //!
-//! A [`StreamShard`] registers a
-//! [`StreamingPool`] instead of a frozen
-//! [`DatasetShard`]: writers keep appending validated row blocks (each
-//! admitted block bumps the pool's **epoch**) while queries pin an
-//! immutable epoch snapshot and train against exactly that snapshot —
-//! [`ServedResponse::epoch`] names it, and the bit-identity contract
-//! holds *per snapshot*: the response equals a cold coordinator run on
-//! the materialized pool of that epoch.
+//! A [`StreamShard`] registers a [`StreamingPool`]: writers keep
+//! appending validated row blocks (each admitted block bumps the pool's
+//! **epoch**) while every query pins an immutable epoch snapshot and
+//! trains against exactly that snapshot — [`ServedResponse::epoch`]
+//! names it, and the bit-identity contract holds *per snapshot*: the
+//! response equals a cold coordinator run on the materialized pool of
+//! that epoch. The dataset's entry replaces its resident copy the first
+//! time a query needs a newer epoch (dropping the old copy first), so
+//! each epoch is materialized once rather than once per query; a query
+//! pinned to an epoch older than the resident one materializes it
+//! transiently. A [`DatasetShard`] is the same workflow at epoch 0: its
+//! entry is seeded with the shard's own `Arc`s and never refreshed.
 //!
 //! Cached pilots from older epochs walk a **drift ladder** keyed by a
 //! cheap holdout-shift score ([`ServeConfig::drift_warn`] /
@@ -124,9 +133,7 @@ use crate::sample_size::SampleSizeEstimator;
 use crate::serve::cache::{PilotCache, PilotKey, PilotTicket};
 use crate::serve::resilience::{retry_backoff, ActiveTokenGuard, CancelToken, DegradationRung};
 use crate::sweep::{run_sweep, SweepPlan, SweepResult};
-use blinkml_data::{
-    CaptureScratch, Dataset, DatasetMatrix, FeatureVec, StreamSnapshot, StreamingPool,
-};
+use blinkml_data::{CaptureScratch, Dataset, FeatureVec, StreamSnapshot, StreamingPool};
 use blinkml_prob::split_seed;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -339,12 +346,11 @@ pub struct ServedResponse {
     pub outcome: TrainingOutcome,
     /// Which rung of the degradation ladder produced the outcome.
     pub rung: DegradationRung,
-    /// The epoch snapshot this response was computed against: always 0
-    /// for static [`DatasetShard`]s; for a [`StreamShard`], the epoch
-    /// whose materialized pool reproduces this response bit-for-bit in
-    /// a cold coordinator run (the current epoch on the fresh path, the
-    /// pilot's own epoch on drift-reuse and
-    /// [`DegradationRung::StalePilot`] paths).
+    /// The epoch whose datasets reproduce this response bit-for-bit in
+    /// a cold coordinator run: the epoch the query pinned, or the
+    /// pilot's own epoch on the drift-reuse and
+    /// [`DegradationRung::StalePilot`] paths. A [`DatasetShard`] never
+    /// advances, so its responses always name epoch 0.
     pub epoch: u64,
     /// Submit-to-completion latency as measured by the server (queue
     /// wait plus processing).
@@ -401,7 +407,7 @@ impl<F: FeatureVec> DatasetShard<F> {
 /// the role of [`DatasetShard::version`] in queries and cache keys.
 #[derive(Debug, Clone)]
 pub struct StreamShard<F: FeatureVec> {
-    /// Dataset identifier — shares the keyspace with static shard
+    /// Dataset identifier — shares the keyspace with frozen shard
     /// versions, so ids must be unique across both.
     pub id: u64,
     /// The appendable pool. Keep a clone of this `Arc` to append.
@@ -423,13 +429,112 @@ impl<F: FeatureVec> StreamShard<F> {
     }
 }
 
-/// Where a dataset id resolves: a frozen shard or a streaming pool
-/// (index into the respective registration vector).
-#[derive(Debug, Clone, Copy)]
-enum Target {
-    Static(usize),
-    Stream(usize),
+/// One materialized epoch of a dataset: its number plus the train and
+/// holdout sets a cold coordinator run at that epoch would see.
+#[derive(Clone)]
+struct EpochData<F> {
+    epoch: u64,
+    train: Arc<Dataset<F>>,
+    holdout: Arc<Dataset<F>>,
 }
+
+impl<F: FeatureVec> EpochData<F> {
+    fn materialize(snapshot: &StreamSnapshot<F>) -> Self {
+        EpochData {
+            epoch: snapshot.epoch(),
+            train: Arc::new(snapshot.train_dataset()),
+            holdout: Arc::new(snapshot.holdout_dataset()),
+        }
+    }
+}
+
+/// The per-dataset state every query resolves through. A frozen
+/// [`DatasetShard`] is a stream that never advances: no pool, and its
+/// own `Arc`s resident at epoch 0 forever. A [`StreamShard`] keeps its
+/// newest materialized epoch resident, refreshed on first need.
+struct DatasetEntry<F: FeatureVec> {
+    /// The appendable pool behind a stream; `None` for a frozen shard.
+    pool: Option<Arc<StreamingPool<F>>>,
+    /// The newest materialized epoch (`None` until a stream's first
+    /// query). Replaced, never accumulated.
+    resident: Mutex<Option<EpochData<F>>>,
+}
+
+impl<F: FeatureVec> DatasetEntry<F> {
+    fn frozen(shard: DatasetShard<F>) -> Self {
+        let data = EpochData {
+            epoch: 0,
+            train: shard.train,
+            holdout: shard.holdout,
+        };
+        DatasetEntry {
+            pool: None,
+            resident: Mutex::new(Some(data)),
+        }
+    }
+
+    fn stream(pool: Arc<StreamingPool<F>>) -> Self {
+        DatasetEntry {
+            pool: Some(pool),
+            resident: Mutex::new(None),
+        }
+    }
+
+    /// Pin the current epoch: its number, its training-pool size `N`,
+    /// and (streams only) the snapshot that reproduces it.
+    fn pin(&self) -> (u64, usize, Option<StreamSnapshot<F>>) {
+        match &self.pool {
+            Some(pool) => {
+                let snapshot = pool.snapshot();
+                (snapshot.epoch(), snapshot.train_len(), Some(snapshot))
+            }
+            None => (0, self.datasets(None).train.len(), None),
+        }
+    }
+
+    /// The snapshot of a past epoch (`None` for a frozen shard).
+    fn snapshot_at(&self, epoch: u64) -> Option<StreamSnapshot<F>> {
+        self.pool.as_ref()?.snapshot_at(epoch)
+    }
+
+    /// The datasets of a pinned snapshot's epoch (`None`: the frozen
+    /// epoch 0). The resident copy serves its own epoch; a newer epoch
+    /// replaces it — the old copy is dropped before the new one is
+    /// built — and an older one is materialized transiently.
+    fn datasets(&self, snapshot: Option<&StreamSnapshot<F>>) -> EpochData<F> {
+        let mut resident = self.resident.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(snapshot) = snapshot else {
+            return resident.clone().expect("frozen entries are seeded");
+        };
+        match &*resident {
+            Some(data) if data.epoch == snapshot.epoch() => return data.clone(),
+            Some(data) if data.epoch > snapshot.epoch() => {
+                drop(resident);
+                return EpochData::materialize(snapshot);
+            }
+            _ => {}
+        }
+        *resident = None;
+        let data = EpochData::materialize(snapshot);
+        *resident = Some(data.clone());
+        data
+    }
+
+    /// The current epoch (0 forever for a frozen shard).
+    fn epoch_probe(&self) -> EpochProbe {
+        match &self.pool {
+            Some(pool) => {
+                let pool = pool.clone();
+                Arc::new(move || pool.epoch())
+            }
+            None => Arc::new(|| 0),
+        }
+    }
+}
+
+/// A registered dataset's current-epoch reader, held by the (non-generic)
+/// [`Server`] handle.
+type EpochProbe = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Epoch-scan bound for the drift ladder: pilots more than this many
 /// epochs behind the current snapshot are treated as absent (cold
@@ -664,10 +769,9 @@ enum Request {
     Sweep(SweepQuery, Arc<Ticket<ServedSweep>>),
 }
 
-/// One queued job: the resolved target, the request, its
-/// submission time, and its admission-time resilience decisions.
+/// One queued job: the request, its submission time, and its
+/// admission-time resilience decisions.
 struct Job {
-    target: Target,
     request: Request,
     submitted: Instant,
     /// Absolute deadline (submission time + [`Query::deadline`]).
@@ -758,19 +862,18 @@ impl Shared {
 /// ```
 pub struct Server {
     shared: Arc<Shared>,
-    versions: HashMap<u64, Target>,
-    /// Per-stream current-epoch probes (the pools themselves are
-    /// generic and live in the owner thread; the handle only ever needs
-    /// their epoch counter, for [`Server::advance_epoch`]).
-    stream_epochs: HashMap<u64, Arc<dyn Fn() -> u64 + Send + Sync>>,
+    /// Current-epoch probe per registered dataset id (the entries
+    /// themselves are generic and live in the owner thread; the handle
+    /// only needs the id set and each epoch counter).
+    epochs: HashMap<u64, EpochProbe>,
     /// Pilots admitted from the warm-state sidecar at spawn.
     warm_pilots: u64,
     owner: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Spawn a server: validates the configuration and datasets, builds
-    /// one pool-resident design matrix per dataset version, and starts
+    /// Spawn a server: validates the configuration and datasets,
+    /// registers one per-dataset entry per shard, and starts
     /// [`ServeConfig::workers`] worker threads.
     ///
     /// The spec and datasets move into the serving threads; keep
@@ -791,9 +894,9 @@ impl Server {
 
     /// [`Server::spawn`] plus streaming datasets: each [`StreamShard`]
     /// registers an appendable [`StreamingPool`] whose queries resolve
-    /// through the drift ladder (see the [module docs](self)). Static
-    /// shards and streams share one id keyspace. Streams must hold at
-    /// least one training and one holdout row at spawn.
+    /// through the drift ladder (see the [module docs](self)). Frozen
+    /// shards and streams share one id keyspace. Every dataset must hold
+    /// at least one training and one holdout row at spawn.
     pub fn spawn_with_streams<F, S>(
         config: BlinkMlConfig,
         serve: ServeConfig,
@@ -812,72 +915,53 @@ impl Server {
                 "server needs at least one dataset version".into(),
             ));
         }
-        let mut versions = HashMap::new();
-        for (i, shard) in shards.iter().enumerate() {
-            if shard.train.is_empty() {
-                return Err(CoreError::InvalidData(format!(
-                    "dataset version {} has an empty training pool",
-                    shard.version
-                )));
-            }
-            if shard.holdout.is_empty() {
-                return Err(CoreError::InvalidData(format!(
-                    "dataset version {} has an empty holdout set",
-                    shard.version
-                )));
-            }
-            if versions.insert(shard.version, Target::Static(i)).is_some() {
-                return Err(CoreError::InvalidConfig(format!(
-                    "duplicate dataset version {}",
-                    shard.version
-                )));
-            }
-        }
-        let mut stream_epochs: HashMap<u64, Arc<dyn Fn() -> u64 + Send + Sync>> = HashMap::new();
-        for (i, stream) in streams.iter().enumerate() {
+        let frozen = shards.into_iter().map(|shard| {
+            let lens = (shard.train.len(), shard.holdout.len());
+            (shard.version, lens, DatasetEntry::frozen(shard))
+        });
+        let streaming = streams.into_iter().map(|stream| {
             let snapshot = stream.pool.snapshot();
-            if snapshot.train_len() == 0 {
+            let lens = (snapshot.train_len(), snapshot.holdout_len());
+            (stream.id, lens, DatasetEntry::stream(stream.pool))
+        });
+        let mut entries = HashMap::new();
+        let mut epochs = HashMap::new();
+        for (id, (train_len, holdout_len), entry) in frozen.chain(streaming) {
+            if train_len == 0 {
                 return Err(CoreError::InvalidData(format!(
-                    "streaming dataset {} has an empty training pool",
-                    stream.id
+                    "dataset version {id} has an empty training pool"
                 )));
             }
-            if snapshot.holdout_len() == 0 {
+            if holdout_len == 0 {
                 return Err(CoreError::InvalidData(format!(
-                    "streaming dataset {} has an empty holdout set",
-                    stream.id
+                    "dataset version {id} has an empty holdout set"
                 )));
             }
-            if versions.insert(stream.id, Target::Stream(i)).is_some() {
+            if entries.contains_key(&id) {
                 return Err(CoreError::InvalidConfig(format!(
-                    "duplicate dataset version {}",
-                    stream.id
+                    "duplicate dataset version {id}"
                 )));
             }
-            let pool = stream.pool.clone();
-            stream_epochs.insert(stream.id, Arc::new(move || pool.epoch()));
+            epochs.insert(id, entry.epoch_probe());
+            entries.insert(id, entry);
         }
         // Warm restore: read the pilot sidecar (when configured) before
         // any worker starts. Best-effort — a missing or damaged sidecar
         // means a cold start, never a spawn error. Entries are
         // revalidated here: the dataset must be registered with *this*
         // server, and the pilot's epoch must exist on the (possibly
-        // crash-recovered) pool — a durable pool that lost an unsynced
-        // tail recovers to an earlier epoch, and pilots for the lost
-        // epochs describe snapshots that no longer exist. Persisted
-        // floors are re-applied by the seed, so retired epochs stay
-        // retired across restarts.
+        // crash-recovered) dataset — a durable pool that lost an
+        // unsynced tail recovers to an earlier epoch, and pilots for the
+        // lost epochs describe snapshots that no longer exist; a frozen
+        // shard only ever has epoch 0. Persisted floors are re-applied
+        // by the seed, so retired epochs stay retired across restarts.
         let mut warm_entries = Vec::new();
         let mut warm_floors = HashMap::new();
         if let Some(path) = &serve.pilot_sidecar {
-            if let Ok((entries, floors)) = sidecar::load(path) {
-                warm_entries = entries
+            if let Ok((saved, floors)) = sidecar::load(path) {
+                warm_entries = saved
                     .into_iter()
-                    .filter(|(key, _)| match versions.get(&key.0) {
-                        Some(Target::Static(_)) => key.1 == 0,
-                        Some(Target::Stream(_)) => stream_epochs[&key.0]() >= key.1,
-                        None => false,
-                    })
+                    .filter(|(key, _)| epochs.get(&key.0).is_some_and(|epoch| epoch() >= key.1))
                     .collect();
                 warm_floors = floors;
             }
@@ -894,38 +978,20 @@ impl Server {
         let owner = {
             let shared = shared.clone();
             std::thread::spawn(move || {
-                // The owner thread owns the generic state (spec,
-                // datasets, pool matrices); workers are scoped threads
-                // borrowing it, which is what lets the pool-resident
-                // matrices be built once and shared without any
-                // self-referential tricks. Streaming pools have no
-                // resident matrix — every query pins its own epoch
-                // snapshot and materializes (and pools) exactly that.
+                // The owner thread owns the generic state (spec and
+                // per-dataset entries); workers are scoped threads
+                // borrowing it.
                 config.exec.apply();
-                let pools: Vec<Option<DatasetMatrix<'_>>> = shards
-                    .iter()
-                    .map(|sh| build_pool(&spec, &sh.train, &config))
-                    .collect();
                 std::thread::scope(|scope| {
                     for _ in 0..worker_count {
-                        let (shared, config, spec, shards, streams, pools) =
-                            (&shared, &config, &spec, &shards, &streams, &pools);
+                        let (shared, config, spec, entries) = (&shared, &config, &spec, &entries);
                         scope.spawn(move || {
                             // One capture scratch per worker — never
                             // shared, so two overlapping queries cannot
                             // alias a packing buffer.
                             let mut scratch = CaptureScratch::new();
                             while let Some(job) = shared.next_job() {
-                                process_job(
-                                    config,
-                                    spec,
-                                    shards,
-                                    streams,
-                                    pools,
-                                    shared,
-                                    &mut scratch,
-                                    job,
-                                );
+                                process_job(config, spec, entries, shared, &mut scratch, job);
                             }
                         });
                     }
@@ -934,8 +1000,7 @@ impl Server {
         };
         Ok(Server {
             shared,
-            versions,
-            stream_epochs,
+            epochs,
             warm_pilots,
             owner: Some(owner),
         })
@@ -965,10 +1030,9 @@ impl Server {
     }
 
     fn enqueue(&self, dataset: u64, request: Request) -> Result<(), ServeError> {
-        let target = *self
-            .versions
-            .get(&dataset)
-            .ok_or(ServeError::UnknownDataset(dataset))?;
+        if !self.epochs.contains_key(&dataset) {
+            return Err(ServeError::UnknownDataset(dataset));
+        }
         let serve = &self.shared.serve;
         let stats = &self.shared.stats;
         // Tenant / deadline are `Train`-only concepts; sweeps have no
@@ -979,7 +1043,6 @@ impl Server {
         };
         let submitted = Instant::now();
         let mut job = Job {
-            target,
             request,
             submitted,
             deadline: deadline.map(|d| submitted + d),
@@ -1083,27 +1146,30 @@ impl Server {
         self.shared.cache.clear();
     }
 
-    /// Explicit epoch-advance hook for a streaming dataset: read the
-    /// pool's current epoch and eagerly retire every cached pilot more
-    /// than [`ServeConfig::max_stale_epochs`] epochs behind it,
-    /// returning how many entries were dropped. With the default
-    /// unbounded staleness budget this is a no-op; with
-    /// `max_stale_epochs = 0` it retires every superseded epoch, and
-    /// the cache's floor additionally guarantees that a pilot
-    /// *completing* for a superseded epoch mid-coalesce is never
-    /// admitted. Call it after appends when stale service is not
-    /// acceptable; the drift ladder enforces the same budget lazily
-    /// either way.
+    /// Explicit epoch-advance hook: read the dataset's current epoch
+    /// and eagerly retire every cached pilot more than
+    /// [`ServeConfig::max_stale_epochs`] epochs behind it, returning how
+    /// many entries were dropped. With the default unbounded staleness
+    /// budget this is a no-op; with `max_stale_epochs = 0` it retires
+    /// every superseded epoch, and the cache's floor additionally
+    /// guarantees that a pilot *completing* for a superseded epoch
+    /// mid-coalesce is never admitted. Call it after appends when stale
+    /// service is not acceptable; the drift ladder enforces the same
+    /// budget lazily either way.
+    ///
+    /// A frozen [`DatasetShard`] is a stream that never advances: its
+    /// epoch is 0, so this returns `Ok(0)` for it. Only an unregistered
+    /// id is [`ServeError::UnknownDataset`].
     pub fn advance_epoch(&self, dataset: u64) -> Result<usize, ServeError> {
         let epoch_of = self
-            .stream_epochs
+            .epochs
             .get(&dataset)
             .ok_or(ServeError::UnknownDataset(dataset))?;
         let floor = epoch_of().saturating_sub(self.shared.serve.max_stale_epochs);
         Ok(self.shared.cache.retire(dataset, floor))
     }
 
-    /// Retire **every** cached pilot of one dataset (static or
+    /// Retire **every** cached pilot of one dataset (frozen or
     /// streaming) and pin its cache floor so nothing for it is ever
     /// admitted again — the decommissioning hook. Returns how many
     /// entries were dropped. The dataset stays queryable (queries
@@ -1182,15 +1248,13 @@ impl Drop for Server {
 }
 
 /// Process one job end to end — training query (pilot resolved through
-/// the cache: hit / coalesce / lead) or grid sweep (cache bypassed) —
-/// and publish the response. Panics are contained per job.
-#[allow(clippy::too_many_arguments)]
+/// the cache: hit / coalesce / lead, or the drift ladder) or grid sweep
+/// (cache bypassed) — and publish the response. Panics are contained
+/// per job.
 fn process_job<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
-    shards: &[DatasetShard<F>],
-    streams: &[StreamShard<F>],
-    pools: &[Option<DatasetMatrix<'_>>],
+    entries: &HashMap<u64, DatasetEntry<F>>,
     shared: &Shared,
     scratch: &mut CaptureScratch,
     job: Job,
@@ -1202,6 +1266,7 @@ fn process_job<F, S>(
     match job.request {
         Request::Train(query, ticket) => {
             let serve = &shared.serve;
+            let entry = &entries[&query.dataset];
             // One token per job (not per attempt): the deadline is a
             // property of the query, and retries race the same clock.
             let token = Arc::new(match job.deadline {
@@ -1218,30 +1283,16 @@ fn process_job<F, S>(
             } else {
                 let mut attempt: u32 = 0;
                 loop {
-                    let result = match job.target {
-                        Target::Static(i) => serve_query(
-                            base,
-                            spec,
-                            &shards[i],
-                            pools[i].as_ref(),
-                            shared,
-                            scratch,
-                            &query,
-                            &token,
-                            job.shed_degraded,
-                        )
-                        .map(|(outcome, rung)| (outcome, rung, 0)),
-                        Target::Stream(i) => serve_stream_query(
-                            base,
-                            spec,
-                            &streams[i],
-                            shared,
-                            scratch,
-                            &query,
-                            &token,
-                            job.shed_degraded,
-                        ),
-                    };
+                    let result = serve_query(
+                        base,
+                        spec,
+                        entry,
+                        shared,
+                        scratch,
+                        &query,
+                        &token,
+                        job.shed_degraded,
+                    );
                     // Transient failures: a contained panic, or a
                     // coalesced waiter inheriting its *leader's*
                     // deadline error while its own deadline is fine (a
@@ -1286,27 +1337,11 @@ fn process_job<F, S>(
         }
         Request::Sweep(query, ticket) => {
             stats.sweep_queries.fetch_add(1, Ordering::Relaxed);
-            let result = match job.target {
-                Target::Static(i) => serve_sweep(
-                    base,
-                    spec,
-                    &shards[i].train,
-                    &shards[i].holdout,
-                    pools[i].as_ref(),
-                    scratch,
-                    &query,
-                ),
-                Target::Stream(i) => {
-                    // Sweeps pin the submission-time snapshot too: the
-                    // whole grid trains against one epoch.
-                    let snapshot = streams[i].pool.snapshot();
-                    let train = snapshot.train_dataset();
-                    let holdout = snapshot.holdout_dataset();
-                    let pool = build_pool(spec, &train, base);
-                    serve_sweep(base, spec, &train, &holdout, pool.as_ref(), scratch, &query)
-                }
-            };
-            match result {
+            // The whole grid trains against the epoch pinned here.
+            let entry = &entries[&query.dataset];
+            let (_, _, snapshot) = entry.pin();
+            let data = entry.datasets(snapshot.as_ref());
+            match serve_sweep(base, spec, &data, scratch, &query) {
                 Ok(result) => {
                     stats
                         .warm_starts_taken
@@ -1329,164 +1364,45 @@ fn process_job<F, S>(
     }
 }
 
-/// The static-shard training-query workflow behind [`process_job`],
-/// returning the outcome (and the rung that produced it) or the error
-/// to publish.
+/// The base configuration with one query's contract and `n₀` override,
+/// validated and with its thread budget reinstalled (another
+/// coordinator in the process may have moved the global knob; results
+/// are budget-independent either way).
+fn query_config(
+    base: &BlinkMlConfig,
+    epsilon: f64,
+    delta: f64,
+    initial_sample_size: Option<usize>,
+) -> Result<BlinkMlConfig, CoreError> {
+    let mut config = base.clone();
+    config.epsilon = epsilon;
+    config.delta = delta;
+    if let Some(n0) = initial_sample_size {
+        config.initial_sample_size = n0;
+    }
+    config.validate()?;
+    config.exec.apply();
+    Ok(config)
+}
+
+/// The training-query workflow: pin the dataset's current epoch, then
+/// resolve a pilot. A pilot for the pinned epoch serves the full
+/// workflow directly. Otherwise (streams only — a frozen shard never
+/// leaves epoch 0) a cached pilot from a recent epoch is drift-tested
+/// and either reused (full workflow on **its** snapshot), served as-is
+/// with an honestly recomputed inflated ε
+/// ([`DegradationRung::StalePilot`]), or abandoned into a retrain at
+/// the pinned epoch — warm-started from the stale θ under
+/// [`WarmStartPolicy::PathFollow`] (the coordinator falls back to a
+/// cold start on line-search failure, mirroring the sweep rule). The
+/// retrain and every other miss take the hit / coalesce / lead path.
+/// Returns the outcome, the rung, and the epoch the response is
+/// bit-reproducible against.
 #[allow(clippy::too_many_arguments)]
 fn serve_query<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
-    shard: &DatasetShard<F>,
-    pool: Option<&DatasetMatrix<'_>>,
-    shared: &Shared,
-    scratch: &mut CaptureScratch,
-    query: &Query,
-    token: &Arc<CancelToken>,
-    shed_degraded: bool,
-) -> Result<(TrainingOutcome, DegradationRung), ServeError>
-where
-    F: FeatureVec,
-    S: ModelClassSpec<F> + ?Sized,
-{
-    let mut config = base.clone();
-    config.epsilon = query.epsilon;
-    config.delta = query.delta;
-    if let Some(n0) = query.initial_sample_size {
-        config.initial_sample_size = n0;
-    }
-    config.validate()?;
-    // Reinstall the budget: another coordinator in the process may have
-    // moved the global knob. Results are budget-independent either way.
-    config.exec.apply();
-
-    let n0 = config.initial_sample_size.min(shard.train.len());
-    // Static shards never move: their pilots live at epoch 0 forever.
-    let key: PilotKey = (shard.version, 0, n0, query.seed);
-    let control = RunControl {
-        cancel: Some(token.clone()),
-        pilot_only: shed_degraded,
-        relax_fraction: shared.serve.relax_fraction,
-        pilot_warm_start: None,
-    };
-    resolve_and_run(
-        config,
-        spec,
-        &shard.train,
-        &shard.holdout,
-        pool,
-        shared,
-        scratch,
-        query.seed,
-        key,
-        &control,
-    )
-}
-
-/// The hit / coalesce / lead resolution protocol shared by static
-/// shards and the streaming cold path: resolve `key` through the pilot
-/// cache and run the coordinator workflow, completing or failing the
-/// in-flight entry on the leader path.
-#[allow(clippy::too_many_arguments)]
-fn resolve_and_run<F, S>(
-    config: BlinkMlConfig,
-    spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
-    shared: &Shared,
-    scratch: &mut CaptureScratch,
-    seed: u64,
-    key: PilotKey,
-    control: &RunControl,
-) -> Result<(TrainingOutcome, DegradationRung), ServeError>
-where
-    F: FeatureVec,
-    S: ModelClassSpec<F> + ?Sized,
-{
-    let stats = &shared.stats;
-    match shared.cache.resolve(key) {
-        PilotTicket::Cached(pilot) => {
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            run_contained(
-                config,
-                spec,
-                train,
-                holdout,
-                pool,
-                scratch,
-                seed,
-                Some(&pilot),
-                false,
-                control,
-            )
-            .map(|(outcome, _, rung)| (outcome, rung))
-        }
-        PilotTicket::Wait(inflight) => {
-            stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-            // The leader publishes exactly one terminal result; share
-            // its failure rather than stampeding retrains.
-            let pilot = inflight.wait()?;
-            run_contained(
-                config,
-                spec,
-                train,
-                holdout,
-                pool,
-                scratch,
-                seed,
-                Some(&pilot),
-                false,
-                control,
-            )
-            .map(|(outcome, _, rung)| (outcome, rung))
-        }
-        PilotTicket::Lead => {
-            match run_contained(
-                config, spec, train, holdout, pool, scratch, seed, None, true, control,
-            ) {
-                Ok((outcome, Some(pilot), rung)) => {
-                    stats.pilot_trains.fetch_add(1, Ordering::Relaxed);
-                    shared.cache.complete(key, Arc::new(pilot));
-                    Ok((outcome, rung))
-                }
-                Ok((outcome, None, rung)) => {
-                    // `run_train` always returns pilot artifacts when
-                    // asked; retire the entry defensively so a future
-                    // regression degrades to cache misses, not a wedge.
-                    debug_assert!(false, "leader run returned no pilot artifacts");
-                    shared.cache.fail(
-                        key,
-                        ServeError::Train(CoreError::InvalidConfig(
-                            "pilot artifacts missing from leader run".into(),
-                        )),
-                    );
-                    Ok((outcome, rung))
-                }
-                Err(e) => {
-                    shared.cache.fail(key, e.clone());
-                    Err(e)
-                }
-            }
-        }
-    }
-}
-
-/// The streaming-dataset query workflow: pin an epoch snapshot, then
-/// walk the drift ladder. A current-epoch pilot serves the full
-/// workflow directly; a cached pilot from a recent epoch is
-/// drift-tested and either reused (full workflow on **its** snapshot),
-/// served as-is with an honestly recomputed inflated ε
-/// ([`DegradationRung::StalePilot`]), or abandoned into a retrain at
-/// the current epoch — warm-started from the stale θ under
-/// [`WarmStartPolicy::PathFollow`] (the coordinator falls back to a
-/// cold start on line-search failure, mirroring the sweep rule).
-/// Returns the outcome, the rung, and the epoch the response is
-/// bit-reproducible against.
-#[allow(clippy::too_many_arguments)]
-fn serve_stream_query<F, S>(
-    base: &BlinkMlConfig,
-    spec: &S,
-    stream: &StreamShard<F>,
+    entry: &DatasetEntry<F>,
     shared: &Shared,
     scratch: &mut CaptureScratch,
     query: &Query,
@@ -1497,23 +1413,14 @@ where
     F: FeatureVec,
     S: ModelClassSpec<F> + ?Sized,
 {
-    let mut config = base.clone();
-    config.epsilon = query.epsilon;
-    config.delta = query.delta;
-    if let Some(n0) = query.initial_sample_size {
-        config.initial_sample_size = n0;
-    }
-    config.validate()?;
-    config.exec.apply();
-
+    let config = query_config(base, query.epsilon, query.delta, query.initial_sample_size)?;
     let serve = &shared.serve;
     let stats = &shared.stats;
-    // Everything below trains and reports against exactly one epoch
-    // snapshot — this one, or the found pilot's own.
-    let snapshot = stream.pool.snapshot();
-    let epoch = snapshot.epoch();
-    let n0 = config.initial_sample_size.min(snapshot.train_len());
-    let key: PilotKey = (stream.id, epoch, n0, query.seed);
+    // Everything below trains and reports against exactly one epoch —
+    // the pinned one, or the found pilot's own.
+    let (epoch, full_n, snapshot) = entry.pin();
+    let n0 = config.initial_sample_size.min(full_n);
+    let key: PilotKey = (query.dataset, epoch, n0, query.seed);
     let mut control = RunControl {
         cancel: Some(token.clone()),
         pilot_only: shed_degraded,
@@ -1521,115 +1428,120 @@ where
         pilot_warm_start: None,
     };
 
-    // 1. A pilot for the current epoch: no drift by construction.
-    if let Some(pilot) = shared.cache.lookup(&key) {
-        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        let train = snapshot.train_dataset();
-        let holdout = snapshot.holdout_dataset();
-        let pool = build_pool(spec, &train, &config);
-        return run_contained(
-            config,
-            spec,
-            &train,
-            &holdout,
-            pool.as_ref(),
-            scratch,
-            query.seed,
-            Some(&pilot),
-            false,
-            &control,
-        )
-        .map(|(outcome, _, rung)| (outcome, rung, epoch));
-    }
+    // 1. A pilot for the pinned epoch: no drift by construction.
+    let cached = shared.cache.lookup(&key);
 
-    // 2. Scan recent epochs (bounded by the staleness budget) for a
-    // cached pilot of this query and drift-test the newest one found.
-    let lookback = serve.max_stale_epochs.min(MAX_DRIFT_LOOKBACK).min(epoch);
-    let mut found: Option<(u64, Arc<PilotState>)> = None;
-    for back in 1..=lookback {
-        let e = epoch - back;
-        let Some(mark) = snapshot.mark_at(e) else {
-            break;
-        };
-        let n0_e = config.initial_sample_size.min(mark.train_len);
-        if let Some(pilot) = shared.cache.lookup(&(stream.id, e, n0_e, query.seed)) {
-            found = Some((e, pilot));
-            break;
-        }
-    }
-    if let Some((e, pilot)) = found {
-        let score = drift_score(spec, &snapshot, e, pilot.model.parameters());
-        if score <= serve.drift_warn {
-            // Fresh enough: the full workflow on the pilot's own
-            // snapshot — bit-equal to a cold run at epoch `e`.
-            stats.drift_fresh.fetch_add(1, Ordering::Relaxed);
-            let snap = stream
-                .pool
-                .snapshot_at(e)
-                .expect("marks retain every epoch");
-            let train = snap.train_dataset();
-            let holdout = snap.holdout_dataset();
-            let pool = build_pool(spec, &train, &config);
-            return run_contained(
-                config,
-                spec,
-                &train,
-                &holdout,
-                pool.as_ref(),
-                scratch,
-                query.seed,
-                Some(&pilot),
-                false,
-                &control,
-            )
-            .map(|(outcome, _, rung)| (outcome, rung, e));
-        }
-        if score <= serve.drift_fail {
-            // Stale but servable: m₀ as-is, with the honestly
-            // recomputed (inflated) curve ε at n = n₀ for the data the
-            // pilot actually saw.
-            stats.drift_stale_served.fetch_add(1, Ordering::Relaxed);
-            let snap = stream
-                .pool
-                .snapshot_at(e)
-                .expect("marks retain every epoch");
-            let holdout = snap.holdout_dataset();
-            let outcome = stale_pilot_outcome(
-                &config,
-                spec,
-                &holdout,
-                &pilot,
-                snap.train_len(),
-                query.seed,
-            );
-            return Ok((outcome, DegradationRung::StalePilot, e));
-        }
-        // Drifted past the servable band: abandon the stale pilot and
-        // lead a fresh one at the current epoch.
-        stats.drift_retrains.fetch_add(1, Ordering::Relaxed);
-        if serve.warm_start == WarmStartPolicy::PathFollow {
-            control.pilot_warm_start = Some(pilot.model.parameters().to_vec());
+    // 2. Otherwise scan recent epochs (bounded by the staleness budget)
+    // for a cached pilot of this query and drift-test the newest one
+    // found.
+    if let (None, Some(snapshot)) = (&cached, &snapshot) {
+        let lookback = serve.max_stale_epochs.min(MAX_DRIFT_LOOKBACK).min(epoch);
+        let found = (1..=lookback)
+            .map_while(|back| snapshot.mark_at(epoch - back))
+            .find_map(|mark| {
+                let n0_e = config.initial_sample_size.min(mark.train_len);
+                let key_e = (query.dataset, mark.epoch, n0_e, query.seed);
+                shared.cache.lookup(&key_e).map(|pilot| (mark.epoch, pilot))
+            });
+        if let Some((e, pilot)) = found {
+            let score = drift_score(spec, snapshot, e, pilot.model.parameters());
+            let snap_e = || entry.snapshot_at(e).expect("marks retain every epoch");
+            if score <= serve.drift_warn {
+                // Fresh enough: the full workflow on the pilot's own
+                // snapshot — bit-equal to a cold run at epoch `e`.
+                stats.drift_fresh.fetch_add(1, Ordering::Relaxed);
+                let data = entry.datasets(Some(&snap_e()));
+                return run_contained(
+                    &config,
+                    spec,
+                    &data,
+                    scratch,
+                    query.seed,
+                    Some(&pilot),
+                    &control,
+                )
+                .map(|(outcome, _, rung)| (outcome, rung, e));
+            }
+            if score <= serve.drift_fail {
+                // Stale but servable: m₀ as-is, with the honestly
+                // recomputed (inflated) curve ε at n = n₀ for the data
+                // the pilot actually saw.
+                stats.drift_stale_served.fetch_add(1, Ordering::Relaxed);
+                let snap = snap_e();
+                let outcome = stale_pilot_outcome(
+                    &config,
+                    spec,
+                    &snap.holdout_dataset(),
+                    &pilot,
+                    snap.train_len(),
+                    query.seed,
+                );
+                return Ok((outcome, DegradationRung::StalePilot, e));
+            }
+            // Drifted past the servable band: abandon the stale pilot
+            // and lead a fresh one at the pinned epoch.
+            stats.drift_retrains.fetch_add(1, Ordering::Relaxed);
+            if serve.warm_start == WarmStartPolicy::PathFollow {
+                control.pilot_warm_start = Some(pilot.model.parameters().to_vec());
+            }
         }
     }
 
-    // 3. Cold path at the current epoch: hit / coalesce / lead, the
-    // same resolution protocol as static shards.
-    let train = snapshot.train_dataset();
-    let holdout = snapshot.holdout_dataset();
-    let pool = build_pool(spec, &train, &config);
-    resolve_and_run(
-        config,
+    // 3. The pinned epoch: hit / coalesce / lead.
+    let data = entry.datasets(snapshot.as_ref());
+    let ticket = match cached {
+        Some(pilot) => PilotTicket::Cached(pilot),
+        None => shared.cache.resolve(key),
+    };
+    let pilot = match ticket {
+        PilotTicket::Cached(pilot) => {
+            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            Some(pilot)
+        }
+        PilotTicket::Wait(inflight) => {
+            stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+            // The leader publishes exactly one terminal result; share
+            // its failure rather than stampeding retrains.
+            Some(inflight.wait()?)
+        }
+        PilotTicket::Lead => None,
+    };
+    let result = run_contained(
+        &config,
         spec,
-        &train,
-        &holdout,
-        pool.as_ref(),
-        shared,
+        &data,
         scratch,
         query.seed,
-        key,
+        pilot.as_deref(),
         &control,
-    )
-    .map(|(outcome, rung)| (outcome, rung, epoch))
+    );
+    if pilot.is_some() {
+        return result.map(|(outcome, _, rung)| (outcome, rung, epoch));
+    }
+    match result {
+        Ok((outcome, Some(pilot), rung)) => {
+            stats.pilot_trains.fetch_add(1, Ordering::Relaxed);
+            shared.cache.complete(key, Arc::new(pilot));
+            Ok((outcome, rung, epoch))
+        }
+        Ok((outcome, None, rung)) => {
+            // A leader run always returns pilot artifacts; retire the
+            // entry defensively so a future regression degrades to
+            // cache misses, not a wedge.
+            debug_assert!(false, "leader run returned no pilot artifacts");
+            shared.cache.fail(
+                key,
+                ServeError::Train(CoreError::InvalidConfig(
+                    "pilot artifacts missing from leader run".into(),
+                )),
+            );
+            Ok((outcome, rung, epoch))
+        }
+        Err(e) => {
+            shared.cache.fail(key, e.clone());
+            Err(e)
+        }
+    }
 }
 
 /// Cheap drift test for a cached pilot from `pilot_epoch` against the
@@ -1722,16 +1634,13 @@ where
 }
 
 /// The sweep workflow behind [`process_job`]: configure the contract,
-/// run the fused sweep engine against the shard's pool (pilot cache
+/// run the fused sweep engine against one epoch's datasets (pilot cache
 /// bypassed — sweep pilots are λ-dependent), with panics contained the
 /// same way training queries contain them.
-#[allow(clippy::too_many_arguments)]
 fn serve_sweep<F, S>(
     base: &BlinkMlConfig,
     spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    data: &EpochData<F>,
     scratch: &mut CaptureScratch,
     query: &SweepQuery,
 ) -> Result<SweepResult, ServeError>
@@ -1739,15 +1648,7 @@ where
     F: FeatureVec,
     S: ModelClassSpec<F> + ?Sized,
 {
-    let mut config = base.clone();
-    config.epsilon = query.epsilon;
-    config.delta = query.delta;
-    if let Some(n0) = query.initial_sample_size {
-        config.initial_sample_size = n0;
-    }
-    config.validate()?;
-    config.exec.apply();
-
+    let config = query_config(base, query.epsilon, query.delta, query.initial_sample_size)?;
     let plan = SweepPlan::new(
         query.lambdas.clone(),
         query.epsilon,
@@ -1756,7 +1657,16 @@ where
     )
     .with_warm_start(query.warm_start);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_sweep(&config, spec, train, holdout, pool, scratch, &plan)
+        let pool = build_pool(spec, &data.train, &config);
+        run_sweep(
+            &config,
+            spec,
+            &data.train,
+            &data.holdout,
+            pool.as_ref(),
+            scratch,
+            &plan,
+        )
     }));
     match attempt {
         Ok(Ok(result)) => Ok(result),
@@ -1765,23 +1675,21 @@ where
     }
 }
 
-/// Run the coordinator workflow with panics contained to this job:
-/// a panic inside training (e.g. a library bug or a pathological
-/// dataset) becomes [`ServeError::WorkerPanicked`] instead of killing
-/// the worker, so one bad query cannot take the queue down.
+/// Run the coordinator workflow on one epoch's datasets (pool matrix
+/// built from them per run) with panics contained to this job: a panic
+/// inside training (e.g. a library bug or a pathological dataset)
+/// becomes [`ServeError::WorkerPanicked`] instead of killing the worker,
+/// so one bad query cannot take the queue down. Without a `pilot` the
+/// run trains one and returns its artifacts for the cache.
 /// Cancellation errors (the fail-fast floor of the ladder) surface as
 /// [`ServeError::DeadlineExceeded`].
-#[allow(clippy::too_many_arguments)]
 fn run_contained<F, S>(
-    config: BlinkMlConfig,
+    config: &BlinkMlConfig,
     spec: &S,
-    train: &Dataset<F>,
-    holdout: &Dataset<F>,
-    pool: Option<&DatasetMatrix<'_>>,
+    data: &EpochData<F>,
     scratch: &mut CaptureScratch,
     seed: u64,
     pilot: Option<&PilotState>,
-    want_pilot: bool,
     control: &RunControl,
 ) -> Result<(TrainingOutcome, Option<PilotState>, DegradationRung), ServeError>
 where
@@ -1789,8 +1697,18 @@ where
     S: ModelClassSpec<F> + ?Sized,
 {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
+        let pool = build_pool(spec, &data.train, config);
         run_train_controlled(
-            &config, spec, train, holdout, pool, scratch, seed, pilot, want_pilot, control,
+            config,
+            spec,
+            &data.train,
+            &data.holdout,
+            pool.as_ref(),
+            scratch,
+            seed,
+            pilot,
+            pilot.is_none(),
+            control,
         )
     }));
     match attempt {

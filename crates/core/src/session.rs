@@ -32,7 +32,9 @@
 //! server with a worker pool, a keyed LRU, and in-flight coalescing.
 
 use crate::config::BlinkMlConfig;
-use crate::coordinator::{build_pool, run_train, PilotState, TrainingOutcome};
+use crate::coordinator::{
+    build_pool, run_train_controlled, PilotState, RunControl, TrainingOutcome,
+};
 use crate::error::CoreError;
 use crate::mcs::ModelClassSpec;
 use crate::sweep::{run_sweep, SweepPlan, SweepResult};
@@ -209,24 +211,9 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
         config.exec.apply();
         let n0 = config.initial_sample_size.min(self.train.len());
         let key = (n0, seed);
-        {
-            let pilots = self.pilots.borrow();
-            if let Some(pilot) = pilots.get(&key) {
-                let (outcome, _) = run_train(
-                    config,
-                    self.spec,
-                    self.train,
-                    self.holdout,
-                    self.pool.as_ref(),
-                    &mut self.cap_scratch.borrow_mut(),
-                    seed,
-                    Some(pilot),
-                    false,
-                )?;
-                return Ok(outcome);
-            }
-        }
-        let (outcome, pilot) = run_train(
+        let pilots = self.pilots.borrow();
+        let cached = pilots.get(&key);
+        let (outcome, pilot, _) = run_train_controlled(
             config,
             self.spec,
             self.train,
@@ -234,9 +221,11 @@ impl<'a, F: FeatureVec, S: ModelClassSpec<F> + ?Sized> Session<'a, F, S> {
             self.pool.as_ref(),
             &mut self.cap_scratch.borrow_mut(),
             seed,
-            None,
-            true,
+            cached,
+            cached.is_none(),
+            &RunControl::unbounded(),
         )?;
+        drop(pilots);
         if let Some(p) = pilot {
             self.pilots.borrow_mut().insert(key, p);
         }

@@ -44,8 +44,8 @@
 //! own pilot θ₀ when the line search rejects the warm start.
 
 use crate::config::{BlinkMlConfig, WarmStartPolicy};
-use crate::coordinator::{decide, final_accuracy_scored, Decision, TrainingOutcome};
-use crate::coordinator::{run_train, TrainingPhaseTimes};
+use crate::coordinator::{decide_controlled, final_accuracy_scored, ControlledDecision};
+use crate::coordinator::{run_train_controlled, RunControl, TrainingOutcome, TrainingPhaseTimes};
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
 use crate::mcs::{ModelClassSpec, SweepEval, TrainedModel};
@@ -515,17 +515,19 @@ fn run_sweep_fused<F: FeatureVec>(
         .map(|(s, m)| (s.as_ref(), m.parameters()))
         .collect();
     let scorers = HoldoutScorer::new_many(holdout, &entries);
-    let decisions: Vec<Decision> = scorers
+    let unbounded = RunControl::unbounded();
+    let decisions: Vec<ControlledDecision> = scorers
         .iter()
         .zip(&stats)
         .map(|(scorer, st)| {
-            decide(
+            decide_controlled(
                 config,
                 scorer,
                 st.as_ref().expect("statistics computed when n0 < N"),
                 n0,
                 full_n,
                 seed,
+                &unbounded,
             )
         })
         .collect();
@@ -540,8 +542,9 @@ fn run_sweep_fused<F: FeatureVec>(
         .iter()
         .enumerate()
         .filter_map(|(i, d)| match *d {
-            Decision::Train { n, .. } => Some((i, n)),
-            Decision::InitialSatisfies { .. } => None,
+            ControlledDecision::Train { n, .. } => Some((i, n)),
+            ControlledDecision::InitialSatisfies { .. }
+            | ControlledDecision::DegradeToPilot { .. } => None,
         })
         .collect();
     let mut finals: Vec<Option<TrainedModel>> = (0..k).map(|_| None).collect();
@@ -677,8 +680,11 @@ fn run_sweep_fused<F: FeatureVec>(
         .iter()
         .enumerate()
         .map(|(i, d)| match *d {
-            Decision::InitialSatisfies { eps0 } => (eps0, eps0, true, 0),
-            Decision::Train { eps0, probes, .. } => (eps0, eps_hat[i], false, probes),
+            ControlledDecision::InitialSatisfies { eps0 } => (eps0, eps0, true, 0),
+            ControlledDecision::Train { eps0, probes, .. } => (eps0, eps_hat[i], false, probes),
+            ControlledDecision::DegradeToPilot { .. } => {
+                unreachable!("an unbounded control never degrades")
+            }
         })
         .collect();
     Ok(assemble(
@@ -760,7 +766,7 @@ fn run_sweep_looped<F: FeatureVec>(
 ) -> Result<SweepResult, CoreError> {
     let mut points = Vec::with_capacity(specs.len());
     for (spec, &lambda) in specs.iter().zip(lambdas) {
-        let (outcome, _) = run_train(
+        let (outcome, _, _) = run_train_controlled(
             config,
             spec.as_ref(),
             train,
@@ -770,6 +776,7 @@ fn run_sweep_looped<F: FeatureVec>(
             seed,
             None,
             false,
+            &RunControl::unbounded(),
         )?;
         points.push(SweepPoint { lambda, outcome });
     }

@@ -579,3 +579,98 @@ proptest! {
         prop_assert_eq!(stats.failed, 0);
     }
 }
+
+// ---------------------------------------------------------------------
+// Satellite: frozen shards and streams registered on one server
+// ---------------------------------------------------------------------
+
+/// One server holding a frozen [`DatasetShard`] and a
+/// [`StreamShard`](blinkml_core::serve::StreamShard): queries to both
+/// are bit-equal to cold coordinators, ids share one keyspace across
+/// the two kinds, and unknown ids fail fast on every entry point.
+#[test]
+fn mixed_registration_serves_both_kinds_bit_identically() {
+    use blinkml_core::error::CoreError;
+    use blinkml_core::serve::{ServeError, StreamShard};
+    use blinkml_data::{IngestPolicy, LabelDomain, StreamingPool};
+
+    let base = base_config(200, Some(2));
+    let spec = LogisticRegressionSpec::new(1e-3);
+    let frozen = make_shard(1, 3_000, 4, 71);
+    let stream_src = make_shard(2, 3_000, 4, 72);
+    let stream_pool = || {
+        StreamingPool::from_datasets(
+            &stream_src.train,
+            &stream_src.holdout,
+            LabelDomain::Binary01,
+            IngestPolicy::Reject,
+        )
+        .expect("seed rows are valid")
+    };
+
+    // An id shared across the two kinds is a configuration error.
+    let clash = Server::spawn_with_streams(
+        base.clone(),
+        ServeConfig::default(),
+        spec.clone(),
+        vec![frozen.clone()],
+        vec![StreamShard::new(1, stream_pool())],
+    );
+    assert!(
+        matches!(clash, Err(CoreError::InvalidConfig(_))),
+        "shared id must be rejected"
+    );
+
+    let server = Server::spawn_with_streams(
+        base.clone(),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        spec.clone(),
+        vec![frozen.clone()],
+        vec![StreamShard::new(2, stream_pool())],
+    )
+    .expect("spawn server");
+    let queries = [
+        Query::new(1, 0.20, 0.05, 3),
+        Query::new(2, 0.20, 0.05, 3),
+        Query::new(1, 0.04, 0.05, 3),
+        Query::new(2, 0.04, 0.05, 4),
+    ];
+    let handles: Vec<_> = queries
+        .iter()
+        .map(|&q| server.submit(q).expect("submit"))
+        .collect();
+    for (i, (handle, q)) in handles.into_iter().zip(queries).enumerate() {
+        let served = handle.wait().expect("served");
+        assert_eq!(served.epoch, 0, "query#{i}: neither dataset advanced");
+        let shard = if q.dataset == 1 { &frozen } else { &stream_src };
+        assert_bitwise_eq(
+            &format!("mixed query#{i}"),
+            &served.outcome,
+            &oracle(&base, &spec, shard, q),
+        );
+    }
+
+    // A frozen dataset is a stream that never advances: nothing to
+    // retire, and no error.
+    assert_eq!(server.advance_epoch(1).expect("frozen id is known"), 0);
+    assert_eq!(server.advance_epoch(2).expect("stream id is known"), 0);
+
+    // Unregistered ids fail fast on both entry points.
+    assert!(matches!(
+        server.submit(Query::new(3, 0.2, 0.05, 1)),
+        Err(ServeError::UnknownDataset(3))
+    ));
+    assert!(matches!(
+        server.advance_epoch(3),
+        Err(ServeError::UnknownDataset(3))
+    ));
+
+    let stats = server.stats();
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.inflight, 0);
+    server.shutdown();
+}

@@ -911,3 +911,64 @@ fn scripted_ingest_faults_cannot_leak_into_pinned_snapshots() {
     assert_eq!(stats.drift_fresh + stats.drift_stale_served, 0);
     server.shutdown();
 }
+
+/// A sweep served from a [`StreamShard`] trains against the epoch its
+/// worker pins, and every grid point is bit-equal (θ, ε₀, ε̂, chosen n)
+/// to [`Session::sweep`](blinkml_core::Session::sweep) on that epoch's
+/// materialized datasets — before and after an append.
+#[test]
+fn stream_sweep_matches_session_on_the_epoch_snapshot() {
+    let d = 4;
+    let pool = Arc::new(make_pool(2_400, d, 141));
+    let base = base_config(200, Some(2));
+    let spec = LogisticRegressionSpec::new(1e-3);
+    let lambdas = vec![0.1, 1e-3, 1e-5];
+    let server = Server::spawn_with_streams(
+        base.clone(),
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        spec.clone(),
+        Vec::new(),
+        vec![StreamShard::from_arc(9, pool.clone())],
+    )
+    .expect("spawn server");
+
+    let check = |context: &str| {
+        let epoch = pool.epoch();
+        let served = server
+            .sweep(blinkml_core::serve::SweepQuery::new(
+                9,
+                lambdas.clone(),
+                0.03,
+                0.05,
+                7,
+            ))
+            .expect("sweep served");
+        let snap = pool.snapshot_at(epoch).expect("epochs are retained");
+        let (train, holdout) = (snap.train_dataset(), snap.holdout_dataset());
+        let session =
+            blinkml_core::Session::new(base.clone(), &spec, &train, &holdout).expect("session");
+        let local = session.sweep(&lambdas, 0.03, 0.05, 7).expect("local sweep");
+        assert_eq!(served.result.points.len(), lambdas.len());
+        assert_eq!(served.result.fused, local.fused);
+        for (a, b) in served.result.points.iter().zip(&local.points) {
+            assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
+            assert_bitwise_eq(&format!("{context} λ={}", a.lambda), &a.outcome, &b.outcome);
+        }
+    };
+    check("epoch 0");
+    pool.append(block(400, d, 14_001, 0.0))
+        .expect("valid block");
+    pool.append_holdout(block(60, d, 14_002, 0.0))
+        .expect("valid block");
+    assert_eq!(pool.epoch(), 2);
+    check("epoch 2");
+
+    let stats = server.stats();
+    assert_eq!(stats.sweep_queries, 2);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.cached_pilots, 0, "sweeps bypass the pilot cache");
+    server.shutdown();
+}
