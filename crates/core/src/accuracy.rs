@@ -73,25 +73,48 @@ impl ModelAccuracyEstimator {
         delta: f64,
         seed: u64,
     ) -> f64 {
+        let diffs = self.one_stage_diffs(scorer, stats, n, full_n, seed);
+        self.epsilon_from_diffs(&diffs, delta)
+    }
+
+    /// The `k` one-stage holdout differences behind the estimate: the
+    /// half of it that depends on neither `ε` nor `δ`, so a cached pilot
+    /// can keep them and answer any `δ` with one quantile
+    /// ([`Self::epsilon_from_diffs`]). Empty when `α = 0` (`n = N`).
+    pub(crate) fn one_stage_diffs<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+        &self,
+        scorer: &HoldoutScorer<'_, F, S>,
+        stats: &ModelStatistics,
+        n: usize,
+        full_n: usize,
+        seed: u64,
+    ) -> Vec<f64> {
         let alpha = sampling_alpha(n, full_n);
         if alpha == 0.0 {
-            return 0.0; // n = N: the approximate model IS the full model.
+            return Vec::new(); // n = N: the approximate model IS the full model.
         }
         let pool = draw_pool(stats, self.num_samples, seed);
         let engine = scorer.engine(&pool, &[]);
         let scale = alpha.sqrt();
         // Parallel over draws: each diff is independent, so the collected
         // vector is identical to the sequential loop for any thread count.
-        let diffs: Vec<f64> = par_ranges_with(self.num_samples, DRAW_CHUNK, |range| {
+        par_ranges_with(self.num_samples, DRAW_CHUNK, |range| {
             range
                 .map(|i| engine.diff_one_stage(i, scale))
                 .collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
-        .collect();
-        let level = conservative_level(delta, self.num_samples);
-        empirical_quantile(&diffs, level)
+        .collect()
+    }
+
+    /// The conservative Lemma-2 quantile of [`Self::one_stage_diffs`]
+    /// at `δ`; 0 for the empty set of the exact model.
+    pub(crate) fn epsilon_from_diffs(&self, diffs: &[f64], delta: f64) -> f64 {
+        if diffs.is_empty() {
+            return 0.0;
+        }
+        empirical_quantile(diffs, conservative_level(delta, self.num_samples))
     }
 }
 

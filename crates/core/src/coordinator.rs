@@ -17,7 +17,8 @@ use crate::stats::{compute_statistics_cached, ModelStatistics};
 use blinkml_data::{CaptureScratch, Dataset, DatasetMatrix, FeatureVec};
 use blinkml_optim::{OptimError, StopCheck};
 use blinkml_prob::split_seed;
-use std::sync::Arc;
+use std::cell::OnceCell;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Wall-clock time spent in each coordinator phase — the decomposition
@@ -234,6 +235,40 @@ pub(crate) struct PilotState {
     pub(crate) stats: Option<ModelStatistics>,
     /// The pilot sample size the artifacts were computed at.
     pub(crate) n0: usize,
+    /// The ε- and δ-independent half of ε₀, filled by the run that
+    /// trained the pilot or on first use (never persisted).
+    pub(crate) eps0: Eps0Memo,
+}
+
+/// A pilot's `k` one-stage holdout differences at sub-seed 1 — what ε₀
+/// is a quantile of. They depend on the pilot (θ₀, statistics, `n₀`),
+/// the holdout and `N` at its epoch, the seed and `k`, but on neither
+/// `ε` nor `δ`; every cache that holds a pilot keys it by exactly the
+/// rest (`(n₀, seed)` in a session over fixed datasets, `(dataset,
+/// epoch, n₀, seed)` on a server with one base configuration), so a
+/// query with any contract gets ε₀ from one quantile instead of a
+/// holdout scoring pass. `k` and `N` are recorded and checked anyway:
+/// a mismatch computes afresh and leaves the memo alone.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Eps0Memo(OnceLock<(usize, usize, Arc<[f64]>)>);
+
+impl Eps0Memo {
+    /// The differences for `k` draws at pool size `full_n`: the memo's
+    /// when it holds them, else `compute()`, kept when the memo is still
+    /// empty. Concurrent first users compute the same bits, so whichever
+    /// lands first is as good as the other.
+    fn diffs(&self, k: usize, full_n: usize, compute: impl FnOnce() -> Vec<f64>) -> Arc<[f64]> {
+        if let Some((mk, mn, diffs)) = self.0.get() {
+            return if (*mk, *mn) == (k, full_n) {
+                Arc::clone(diffs)
+            } else {
+                compute().into()
+            };
+        }
+        let diffs: Arc<[f64]> = compute().into();
+        let _ = self.0.set((k, full_n, Arc::clone(&diffs)));
+        diffs
+    }
 }
 
 /// Degradation-aware run parameters for [`run_train_controlled`]: an
@@ -310,23 +345,31 @@ pub(crate) enum ControlledDecision {
 /// The decision stage: estimate the pilot's accuracy `ε₀` (sub-seed 1)
 /// and, when the contract is not yet met, binary-search the minimum
 /// sample size (sub-seed 2) — both against one [`HoldoutScorer`], so
-/// the θ₀ score matrix is built once. Deadline / shed aware: the ε₀
-/// estimate always completes (it is what makes the pilot rung
+/// the θ₀ score matrix is built once. `scorer` builds (or returns) that
+/// scorer on first need: ε₀ comes from the pilot's [`Eps0Memo`] when it
+/// holds the draws, so a pilot that already meets the contract is
+/// decided without scoring the holdout at all. Deadline / shed aware:
+/// the ε₀ estimate always completes (it is what makes the pilot rung
 /// *honest*), then the shed lane or an expired token short-circuits to
 /// the pilot, and the binary search itself polls the token before every
 /// probe.
-pub(crate) fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn decide_controlled<'s, F: FeatureVec, S: ModelClassSpec<F> + ?Sized + 's>(
     config: &BlinkMlConfig,
-    scorer: &HoldoutScorer<'_, F, S>,
+    scorer: impl Fn() -> &'s HoldoutScorer<'s, F, S>,
+    memo: &Eps0Memo,
     stats: &crate::stats::ModelStatistics,
     n0: usize,
     full_n: usize,
     seed: u64,
     control: &RunControl,
 ) -> ControlledDecision {
-    let accuracy = ModelAccuracyEstimator::new(config.num_param_samples);
-    let eps0 =
-        accuracy.estimate_scored(scorer, stats, n0, full_n, config.delta, split_seed(seed, 1));
+    let k = config.num_param_samples;
+    let accuracy = ModelAccuracyEstimator::new(k);
+    let diffs = memo.diffs(k, full_n, || {
+        accuracy.one_stage_diffs(scorer(), stats, n0, full_n, split_seed(seed, 1))
+    });
+    let eps0 = accuracy.epsilon_from_diffs(&diffs, config.delta);
     if eps0 <= config.epsilon {
         return ControlledDecision::InitialSatisfies { eps0 };
     }
@@ -334,12 +377,12 @@ pub(crate) fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
     if control.pilot_only || expired() {
         return ControlledDecision::DegradeToPilot { eps0, probes: 0 };
     }
-    let sse = SampleSizeEstimator::new(config.num_param_samples);
+    let sse = SampleSizeEstimator::new(k);
     let est = match &control.cancel {
         Some(token) => {
             let stop = || token.expired();
             sse.estimate_scored_stoppable(
-                scorer,
+                scorer(),
                 stats,
                 n0,
                 full_n,
@@ -350,7 +393,7 @@ pub(crate) fn decide_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
             )
         }
         None => Some(sse.estimate_scored(
-            scorer,
+            scorer(),
             stats,
             n0,
             full_n,
@@ -660,11 +703,16 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
             (fit.model, fit.stats)
         }
     };
+    // A cached pilot brings its ε₀ memo; a fresh one starts empty and
+    // leaves this run filled, for whoever caches the returned pilot.
+    let fresh_memo = Eps0Memo::default();
+    let memo = pilot.map_or(&fresh_memo, |p| &p.eps0);
     let pilot_state = |model: &TrainedModel, stats: &Option<ModelStatistics>| {
         want_pilot.then(|| PilotState {
             model: model.clone(),
             stats: stats.clone(),
             n0,
+            eps0: memo.clone(),
         })
     };
 
@@ -696,11 +744,13 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
 
     // Phases 3a + 3b — the decision stage: accuracy of m₀, then (when
     // needed) the minimum sample size, both against one holdout scorer
-    // so the θ₀ score matrix is built once. From here on the pilot rung
-    // is reachable: ε₀ is an honest guarantee for m₀.
+    // so the θ₀ score matrix is built once — and only when something
+    // needs it. From here on the pilot rung is reachable: ε₀ is an
+    // honest guarantee for m₀.
     let t = Instant::now();
-    let scorer = HoldoutScorer::new(spec, holdout, m0.parameters());
-    let decision = decide_controlled(config, &scorer, stats, n0, full_n, seed, control);
+    let scorer_cell = OnceCell::new();
+    let scorer = || scorer_cell.get_or_init(|| HoldoutScorer::new(spec, holdout, m0.parameters()));
+    let decision = decide_controlled(config, scorer, memo, stats, n0, full_n, seed, control);
     phases.sample_size_search = t.elapsed();
     let (eps0, est_n, probes) = match decision {
         ControlledDecision::InitialSatisfies { eps0 } => {
@@ -756,7 +806,7 @@ pub(crate) fn run_train_controlled<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>
                     // curve point.
                     let sse = SampleSizeEstimator::new(config.num_param_samples);
                     relaxed_eps = Some(sse.epsilon_at_scored(
-                        &scorer,
+                        scorer(),
                         stats,
                         n0,
                         n_relaxed,
@@ -983,5 +1033,80 @@ mod tests {
         assert_eq!(a.sample_size, b.sample_size);
         assert_eq!(a.initial_epsilon, b.initial_epsilon);
         assert_eq!(a.model.parameters(), b.model.parameters());
+    }
+
+    /// The ε₀ memo's point: once a pilot holds its draws, a contract that
+    /// ε₀ meets is decided without building the holdout scorer, a tight
+    /// one builds it only for the search, and an empty memo needs it for
+    /// ε₀ itself — each decision bit-equal to the leader run's ε₀.
+    #[test]
+    fn memo_hit_meeting_the_contract_builds_no_scorer() {
+        use std::cell::Cell;
+        let (data, _) = synthetic_logistic(6_000, 4, 2.0, 11);
+        let split = data.split(800, 0, 12);
+        let spec = LogisticRegressionSpec::new(1e-3);
+        let cfg = config(0.5, 300);
+        let (out, pilot, _) = run_train_controlled(
+            &cfg,
+            &spec,
+            &split.train,
+            &split.holdout,
+            None,
+            &mut CaptureScratch::new(),
+            5,
+            None,
+            true,
+            &RunControl::unbounded(),
+        )
+        .unwrap();
+        let pilot = pilot.expect("a leader run returns its pilot");
+        let stats = pilot.stats.as_ref().expect("n0 < N");
+        let (n0, full_n) = (300, split.train.len());
+        let eps0 = out.initial_epsilon;
+        assert!(
+            eps0 > 0.0 && eps0 < 1.0,
+            "ε₀ = {eps0} must be a valid contract"
+        );
+
+        let scorer = HoldoutScorer::new(&spec, &split.holdout, pilot.model.parameters());
+        let builds = Cell::new(0usize);
+        let counted = || {
+            builds.set(builds.get() + 1);
+            &scorer
+        };
+        let unbounded = RunControl::unbounded();
+        let decide = |epsilon: f64, memo: &Eps0Memo| {
+            let mut c = cfg.clone();
+            c.epsilon = epsilon;
+            decide_controlled(&c, counted, memo, stats, n0, full_n, 5, &unbounded)
+        };
+
+        builds.set(0);
+        match decide(eps0, &pilot.eps0) {
+            ControlledDecision::InitialSatisfies { eps0: e } => {
+                assert_eq!(e.to_bits(), eps0.to_bits())
+            }
+            other => panic!("ε = ε₀ must be met at n₀, got {other:?}"),
+        }
+        assert_eq!(
+            builds.get(),
+            0,
+            "a met contract on a memo hit scores nothing"
+        );
+
+        match decide(eps0 / 4.0, &pilot.eps0) {
+            ControlledDecision::Train { eps0: e, .. } => assert_eq!(e.to_bits(), eps0.to_bits()),
+            other => panic!("ε₀ / 4 needs a search, got {other:?}"),
+        }
+        assert!(builds.get() > 0, "the search scores the pools");
+
+        builds.set(0);
+        match decide(eps0, &Eps0Memo::default()) {
+            ControlledDecision::InitialSatisfies { eps0: e } => {
+                assert_eq!(e.to_bits(), eps0.to_bits())
+            }
+            other => panic!("ε = ε₀ must be met at n₀, got {other:?}"),
+        }
+        assert!(builds.get() > 0, "an empty memo scores the holdout for ε₀");
     }
 }

@@ -9,13 +9,14 @@
 //! (sampling by scaling, §4.3), and the minimum `n` is located by binary
 //! search, justified by the monotonicity of Theorem 2.
 
-use crate::accuracy::DRAW_CHUNK;
+use crate::accuracy::{sampling_alpha as alpha, DRAW_CHUNK};
 use crate::diff_engine::{draw_pool, HoldoutScorer};
 use crate::mcs::ModelClassSpec;
 use crate::stats::ModelStatistics;
 use blinkml_data::parallel::par_ranges_with;
 use blinkml_data::{Dataset, FeatureVec};
 use blinkml_prob::{conservative_level, empirical_quantile, split_seed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The sample-size estimator; `num_samples` is the Monte Carlo draw
 /// count `k` per stage.
@@ -110,24 +111,22 @@ impl SampleSizeEstimator {
         let pool_u = draw_pool(stats, k, split_seed(seed, 0));
         let pool_w = draw_pool(stats, k, split_seed(seed, 1));
         let engine = scorer.engine(&pool_u, &pool_w);
-        let level = conservative_level(delta, k);
+        let need = min_hits(k, conservative_level(delta, k));
         let mut probes = 0usize;
+        // The draw that last missed: a miss at one n tends to miss at a
+        // nearby smaller n too, so the next probe tries it first.
+        let mut lead = None;
         let stopped = || stop.is_some_and(|s| s());
 
         let mut satisfied = |n: usize| -> bool {
             probes += 1;
             let a1 = alpha(n0, n).sqrt();
             let a2 = alpha(n, full_n).sqrt();
-            // Parallel over draws; per-chunk hit counts are integers, so
-            // the sum is exact and thread-count independent.
-            let hits: usize = par_ranges_with(k, DRAW_CHUNK, |range| {
-                range
-                    .filter(|&i| engine.diff_two_stage(i, a1, a2) <= epsilon)
-                    .count()
-            })
-            .into_iter()
-            .sum();
-            hits as f64 / k as f64 >= level
+            let (hit, miss) = enough_hits(k, need, lead, |i| {
+                engine.two_stage_within(i, a1, a2, epsilon)
+            });
+            lead = miss.or(lead);
+            hit
         };
 
         if stopped() {
@@ -193,9 +192,79 @@ impl SampleSizeEstimator {
     }
 }
 
-/// `α = 1/a − 1/b`, clamped at zero.
-fn alpha(a: usize, b: usize) -> f64 {
-    (1.0 / a as f64 - 1.0 / b as f64).max(0.0)
+/// The smallest hit count `m ≤ k` with `m as f64 / k as f64 >= level`
+/// — the integer form of the probe's hit-fraction comparison — or
+/// `None` when not even `m = k` passes. The fraction is non-decreasing
+/// in `m`, so the passing counts are a suffix.
+fn min_hits(k: usize, level: f64) -> Option<usize> {
+    let passes = |m: usize| m as f64 / k as f64 >= level;
+    if !passes(k) {
+        return None;
+    }
+    let mut m = ((level * k as f64).ceil().max(0.0) as usize).min(k);
+    while m < k && !passes(m) {
+        m += 1;
+    }
+    while m > 0 && passes(m - 1) {
+        m -= 1;
+    }
+    Some(m)
+}
+
+/// Whether at least `need` of the `k` draws satisfy `within`, stopping
+/// as soon as the count is settled: `need` hits, or more than
+/// `k − need` misses. Draw `lead` (when given) is evaluated first. The
+/// draws are spread over the thread budget with a shared "settled"
+/// flag; every counted draw is a real evaluation, so a settled count
+/// gives the same verdict as counting all `k`, for any thread count
+/// and draw order. Returns the verdict and one draw that missed.
+fn enough_hits(
+    k: usize,
+    need: Option<usize>,
+    lead: Option<usize>,
+    within: impl Fn(usize) -> bool + Sync,
+) -> (bool, Option<usize>) {
+    let Some(need) = need else {
+        return (false, None);
+    };
+    let max_misses = k - need;
+    // Relaxed throughout: the atomics publish no other data, "settled"
+    // only skips work, and the final reads follow the join of every
+    // draw chunk.
+    let hits = AtomicUsize::new(0);
+    let misses = AtomicUsize::new(0);
+    let settled = AtomicBool::new(need == 0);
+    let missed = AtomicUsize::new(usize::MAX);
+    // Position r of the evaluation order: the lead draw, then every
+    // other draw in index order.
+    let draw = |r: usize| match lead {
+        Some(l) if r == 0 => l,
+        Some(l) if r <= l => r - 1,
+        _ => r,
+    };
+    par_ranges_with(k, DRAW_CHUNK, |range| {
+        for r in range {
+            if settled.load(Ordering::Relaxed) {
+                return;
+            }
+            let i = draw(r);
+            if within(i) {
+                if hits.fetch_add(1, Ordering::Relaxed) + 1 >= need {
+                    settled.store(true, Ordering::Relaxed);
+                }
+            } else {
+                missed.store(i, Ordering::Relaxed);
+                if misses.fetch_add(1, Ordering::Relaxed) + 1 > max_misses {
+                    settled.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    });
+    let missed = missed.into_inner();
+    (
+        hits.into_inner() >= need,
+        (missed != usize::MAX).then_some(missed),
+    )
 }
 
 #[cfg(test)]
@@ -207,6 +276,7 @@ mod tests {
     use crate::stats::observed_fisher;
     use blinkml_data::generators::{synthetic_linear, synthetic_logistic};
     use blinkml_optim::OptimOptions;
+    use proptest::prelude::*;
 
     fn setup_logistic() -> (
         blinkml_data::Dataset<blinkml_data::DenseVec>,
@@ -454,5 +524,188 @@ mod tests {
         let v = spec.diff(mn.parameters(), full_model.parameters(), &split.holdout);
         // One realization; allow modest slack over ε for test stability.
         assert!(v <= epsilon * 1.5, "realized v = {v} at n = {}", est.n);
+    }
+
+    /// Verbatim copy of the original private `α = 1/a − 1/b` helper.
+    fn reference_alpha(a: usize, b: usize) -> f64 {
+        (1.0 / a as f64 - 1.0 / b as f64).max(0.0)
+    }
+
+    /// Verbatim copy of the original full-count binary search: every
+    /// probe scores all `k` draws and compares the hit fraction.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_search<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+        engine: &crate::diff_engine::reference::RefEngine<'_, F, S>,
+        k: usize,
+        n0: usize,
+        full_n: usize,
+        epsilon: f64,
+        delta: f64,
+    ) -> (usize, usize) {
+        let level = conservative_level(delta, k);
+        let mut probes = 0usize;
+        let mut satisfied = |n: usize| -> bool {
+            probes += 1;
+            let a1 = reference_alpha(n0, n).sqrt();
+            let a2 = reference_alpha(n, full_n).sqrt();
+            let hits: usize = par_ranges_with(k, DRAW_CHUNK, |range| {
+                range
+                    .filter(|&i| engine.diff_two_stage(i, a1, a2) <= epsilon)
+                    .count()
+            })
+            .into_iter()
+            .sum();
+            hits as f64 / k as f64 >= level
+        };
+        if satisfied(n0) {
+            return (n0, probes);
+        }
+        let mut lo = n0;
+        let mut hi = full_n;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if satisfied(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        (hi, probes)
+    }
+
+    /// ε₀, the chosen `n`, the probe count and a curve point from the
+    /// optimized estimators against the reference engine and loop, by
+    /// bits.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_decisions_match_reference<F: FeatureVec, S: ModelClassSpec<F> + ?Sized>(
+        label: &str,
+        spec: &S,
+        sample: &Dataset<F>,
+        holdout: &Dataset<F>,
+        seed: u64,
+        k: usize,
+        full_n: usize,
+        epsilon: f64,
+        delta: f64,
+    ) -> Result<(), String> {
+        use crate::accuracy::{sampling_alpha, ModelAccuracyEstimator};
+        use crate::diff_engine::reference::RefEngine;
+        let n0 = sample.len();
+        let model = spec
+            .train(sample, None, &OptimOptions::default())
+            .map_err(|e| format!("{label}: {e}"))?;
+        let theta0 = model.parameters();
+        let stats = observed_fisher(spec, theta0, sample).map_err(|e| format!("{label}: {e}"))?;
+        let scorer = HoldoutScorer::new(spec, holdout, theta0);
+        let level = conservative_level(delta, k);
+
+        // ε₀ at sub-seed 1.
+        let pool = draw_pool(&stats, k, split_seed(seed, 1));
+        let oracle = RefEngine::new(spec, holdout, theta0, &pool, &[]);
+        let scale = sampling_alpha(n0, full_n).sqrt();
+        let diffs: Vec<f64> = (0..k).map(|i| oracle.diff_one_stage(i, scale)).collect();
+        let eps0 = ModelAccuracyEstimator::new(k).estimate_scored(
+            &scorer,
+            &stats,
+            n0,
+            full_n,
+            delta,
+            split_seed(seed, 1),
+        );
+        prop_assert_eq!(
+            eps0.to_bits(),
+            empirical_quantile(&diffs, level).to_bits(),
+            "{}: ε₀",
+            label
+        );
+
+        // The search and one curve point at sub-seed 2.
+        let sub = split_seed(seed, 2);
+        let pool_u = draw_pool(&stats, k, split_seed(sub, 0));
+        let pool_w = draw_pool(&stats, k, split_seed(sub, 1));
+        let oracle = RefEngine::new(spec, holdout, theta0, &pool_u, &pool_w);
+        let sse = SampleSizeEstimator::new(k);
+        let est = sse.estimate_scored(&scorer, &stats, n0, full_n, epsilon, delta, sub);
+        let (n, probes) = reference_search(&oracle, k, n0, full_n, epsilon, delta);
+        prop_assert_eq!((est.n, est.probes), (n, probes), "{}: (n, probes)", label);
+        for at in [n0, n, n0 + (full_n - n0) / 3] {
+            let a1 = reference_alpha(n0, at).sqrt();
+            let a2 = reference_alpha(at, full_n).sqrt();
+            let curve: Vec<f64> = (0..k).map(|i| oracle.diff_two_stage(i, a1, a2)).collect();
+            prop_assert_eq!(
+                sse.epsilon_at_scored(&scorer, &stats, n0, at, full_n, delta, sub)
+                    .to_bits(),
+                empirical_quantile(&curve, level).to_bits(),
+                "{}: curve ε at n = {}",
+                label,
+                at
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn oracle_decisions_match_full_count_reference(
+            seed in 1u64..100_000,
+            k in 30usize..64,
+            epsilon in 0.005f64..0.3,
+            clamped in 0usize..2,
+            loose_delta in 0.27f64..0.3,
+            extra in 1usize..200_000,
+        ) {
+            // δ = 0.05 clamps the conservative level to 1; δ near 0.3
+            // with k ≥ 30 keeps it below 1, where a probe needs only a
+            // share of the draws.
+            let delta = if clamped == 1 { 0.05 } else { loose_delta };
+            let level = conservative_level(delta, k);
+            prop_assert!(
+                (clamped == 1) == (level >= 1.0),
+                "δ = {} with k = {} gives level {}",
+                delta,
+                k,
+                level
+            );
+            let n0 = 250;
+            let full_n = n0 + extra;
+            let (dense, _) = synthetic_logistic(n0 + 200, 4, 2.0, seed);
+            let split = dense.split(200, 0, seed);
+            assert_decisions_match_reference(
+                "logistic", &LogisticRegressionSpec::new(1e-3), &split.train, &split.holdout,
+                seed, k, full_n, epsilon, delta,
+            )?;
+            let (linear, _) = synthetic_linear(n0 + 200, 4, 0.5, seed);
+            let split = linear.split(200, 0, seed);
+            assert_decisions_match_reference(
+                "linreg", &LinearRegressionSpec::new(1e-3), &split.train, &split.holdout, seed,
+                k, full_n, epsilon, delta,
+            )?;
+            let (counts, _) = blinkml_data::generators::synthetic_poisson(n0 + 200, 3, seed);
+            let split = counts.split(200, 0, seed);
+            assert_decisions_match_reference(
+                "poisson", &crate::models::PoissonRegressionSpec::new(1e-3), &split.train,
+                &split.holdout, seed, k, full_n, epsilon, delta,
+            )?;
+            let multi = blinkml_data::generators::synthetic_multiclass(n0 + 200, 3, 3, seed);
+            let split = multi.split(200, 0, seed);
+            assert_decisions_match_reference(
+                "maxent", &crate::models::MaxEntSpec::new(1e-3, 3), &split.train,
+                &split.holdout, seed, k, full_n, epsilon, delta,
+            )?;
+            let sparse = blinkml_data::generators::criteo_like(n0 + 200, 40, seed);
+            let split = sparse.split(200, 0, seed);
+            assert_decisions_match_reference(
+                "sparse logistic", &LogisticRegressionSpec::new(1e-3), &split.train,
+                &split.holdout, seed, k, full_n, epsilon, delta,
+            )?;
+            let low_rank = blinkml_data::generators::low_rank_gaussian(n0 + 60, 4, 2, 0.2, seed);
+            let split = low_rank.split(60, 0, seed);
+            assert_decisions_match_reference(
+                "ppca", &crate::models::PpcaSpec::new(2), &split.train, &split.holdout, seed, k,
+                full_n, epsilon, delta,
+            )?;
+        }
     }
 }

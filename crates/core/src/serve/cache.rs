@@ -394,6 +394,7 @@ mod tests {
             model: TrainedModel::new(vec![n0 as f64], n0, 0, true, 0.0),
             stats: None,
             n0,
+            eps0: Default::default(),
         })
     }
 

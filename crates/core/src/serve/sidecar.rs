@@ -198,6 +198,8 @@ fn pilot(dec: &mut Decoder<'_>) -> Result<(PilotKey, PilotState), WalError> {
             model: TrainedModel::new(theta, sample_size, iterations, converged, objective_value),
             stats,
             n0,
+            // ε₀'s draws are not persisted: the first query refills them.
+            eps0: Default::default(),
         },
     ))
 }
@@ -313,6 +315,7 @@ mod tests {
                 })),
             )),
             n0: 100,
+            eps0: Default::default(),
         }
     }
 
@@ -336,6 +339,7 @@ mod tests {
                 },
             )),
             n0: 50,
+            eps0: Default::default(),
         }
     }
 

@@ -44,7 +44,7 @@
 //! own pilot θ₀ when the line search rejects the warm start.
 
 use crate::config::{BlinkMlConfig, WarmStartPolicy};
-use crate::coordinator::{decide_controlled, final_accuracy_scored, ControlledDecision};
+use crate::coordinator::{decide_controlled, final_accuracy_scored, ControlledDecision, Eps0Memo};
 use crate::coordinator::{run_train_controlled, RunControl, TrainingOutcome, TrainingPhaseTimes};
 use crate::diff_engine::HoldoutScorer;
 use crate::error::CoreError;
@@ -520,9 +520,12 @@ fn run_sweep_fused<F: FeatureVec>(
         .iter()
         .zip(&stats)
         .map(|(scorer, st)| {
+            // Sweep pilots are λ-dependent and never cached, so their
+            // ε₀ memo lives for this decision only.
             decide_controlled(
                 config,
-                scorer,
+                || scorer,
+                &Eps0Memo::default(),
                 st.as_ref().expect("statistics computed when n0 < N"),
                 n0,
                 full_n,

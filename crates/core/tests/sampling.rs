@@ -206,3 +206,53 @@ fn sample_view_backs_the_same_sample_as_materialize() {
         assert_eq!(view.get(k).y, e.y);
     }
 }
+
+#[test]
+fn session_varying_delta_with_one_seed_is_bitwise_fresh_coordinators() {
+    // One cached pilot answers every δ from its ε₀ memo: the draws are
+    // δ-independent, only the quantile level moves. At k = 100, δ = 0.05
+    // clamps the level to 1 while δ = 0.2 and 0.3 pick lower order
+    // statistics.
+    let (data, _) = synthetic_logistic(9_000, 4, 2.0, 71);
+    let split = data.split(800, 0, 72);
+    let spec = LogisticRegressionSpec::new(1e-3);
+    let base = BlinkMlConfig {
+        num_param_samples: 100,
+        ..config(0.05, 300, Some(1), SamplingMode::ZeroCopy)
+    };
+    let session = Session::new(base.clone(), &spec, &split.train, &split.holdout).unwrap();
+    let mut branches = [false; 2];
+    for (epsilon, delta) in [
+        (0.04, 0.05),
+        (0.3, 0.3),
+        (0.3, 0.05),
+        (0.04, 0.3),
+        (0.3, 0.2),
+    ] {
+        let s = session.train(epsilon, delta, 5).unwrap();
+        let mut cfg = base.clone();
+        cfg.epsilon = epsilon;
+        cfg.delta = delta;
+        let c = Coordinator::new(cfg)
+            .train_with_holdout(&spec, &split.train, &split.holdout, 5)
+            .unwrap();
+        let context = format!("ε={epsilon} δ={delta}");
+        assert_eq!(s.sample_size, c.sample_size, "{context}");
+        assert_eq!(s.search_probes, c.search_probes, "{context}");
+        assert_eq!(
+            s.initial_epsilon.to_bits(),
+            c.initial_epsilon.to_bits(),
+            "{context}"
+        );
+        assert_eq!(
+            s.estimated_epsilon.to_bits(),
+            c.estimated_epsilon.to_bits(),
+            "{context}"
+        );
+        assert_eq!(s.model.parameters(), c.model.parameters(), "{context}");
+        branches[usize::from(c.used_initial_model)] = true;
+    }
+    set_max_threads(None);
+    assert_eq!(branches, [true, true], "both decision branches covered");
+    assert_eq!(session.cached_pilots(), 1, "one pilot serves every δ");
+}

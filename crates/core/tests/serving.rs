@@ -674,3 +674,97 @@ fn mixed_registration_serves_both_kinds_bit_identically() {
     assert_eq!(stats.inflight, 0);
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// The ε₀ memo: one cached pilot, any contract
+// ---------------------------------------------------------------------
+
+/// One cached pilot answers contracts on both sides of `n₀` (met by ε₀,
+/// or needing a search) and both sides of the conservative-level clamp
+/// (δ = 0.05 clamps it to 1 at k = 100, δ = 0.2 does not) from its ε₀
+/// memo, each bit-equal — θ, ε₀, ε̂, n and the probe count — to a cold
+/// coordinator. A warm sidecar restart restores the pilot without its
+/// memo; the same queries refill it on first use and stay bit-equal.
+#[test]
+fn memoized_eps0_answers_every_contract_like_a_cold_coordinator() {
+    let base = BlinkMlConfig {
+        num_param_samples: 100,
+        ..base_config(200, Some(1))
+    };
+    let spec = LogisticRegressionSpec::new(1e-3);
+    let shard = make_shard(9, 4_000, 4, 91);
+    let seed = 6;
+    // Pick ε on both sides of ε₀: ε₀ at δ = 0.05 is the larger of the
+    // two quantiles, so it is met at n₀ for both δ; a fifth of the
+    // δ = 0.2 quantile needs a search for both.
+    let eps0_at =
+        |delta| oracle(&base, &spec, &shard, Query::new(9, 0.99, delta, seed)).initial_epsilon;
+    let (eps0_clamped, eps0_loose) = (eps0_at(0.05), eps0_at(0.2));
+    assert!(eps0_loose <= eps0_clamped);
+    let met = eps0_clamped;
+    let tight = eps0_loose / 5.0;
+    let queries = [
+        Query::new(9, tight, 0.05, seed),
+        Query::new(9, met, 0.2, seed),
+        Query::new(9, met, 0.05, seed),
+        Query::new(9, tight, 0.2, seed),
+    ];
+    let expected: Vec<TrainingOutcome> = queries
+        .iter()
+        .map(|&q| oracle(&base, &spec, &shard, q))
+        .collect();
+    for (q, e) in queries.iter().zip(&expected) {
+        assert_eq!(
+            e.used_initial_model,
+            q.epsilon == met,
+            "ε = {} δ = {}: coverage of both decision branches",
+            q.epsilon,
+            q.delta
+        );
+    }
+    let check = |label: &str, server: &Server| {
+        for (i, (&q, e)) in queries.iter().zip(&expected).enumerate() {
+            let served = server.query(q).expect("served");
+            let context = format!("{label} query#{i} (ε = {}, δ = {})", q.epsilon, q.delta);
+            assert_bitwise_eq(&context, &served.outcome, e);
+            assert_eq!(
+                served.outcome.search_probes, e.search_probes,
+                "{context}: probes diverged"
+            );
+        }
+    };
+
+    let dir =
+        std::env::temp_dir().join(format!("blinkml_serving_{}_eps0_memo", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let serve = ServeConfig {
+        workers: 1,
+        pilot_sidecar: Some(dir.join("pilots.bin")),
+        ..ServeConfig::default()
+    };
+    let server = Server::spawn(
+        base.clone(),
+        serve.clone(),
+        spec.clone(),
+        vec![shard.clone()],
+    )
+    .expect("spawn cold server");
+    check("cold", &server);
+    let stats = server.stats();
+    assert_eq!(stats.pilot_trains, 1, "one pilot serves every contract");
+    assert_eq!(stats.cache_hits, 3);
+    server.shutdown_drain(); // persists the sidecar
+
+    let server = Server::spawn(base.clone(), serve, spec.clone(), vec![shard.clone()])
+        .expect("spawn warm server");
+    assert_eq!(server.stats().warm_pilots, 1, "the pilot restores");
+    check("warm", &server);
+    assert_eq!(
+        server.stats().pilot_trains,
+        0,
+        "a warm pilot never retrains"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -972,3 +972,78 @@ fn stream_sweep_matches_session_on_the_epoch_snapshot() {
     assert_eq!(stats.cached_pilots, 0, "sweeps bypass the pilot cache");
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// The ε₀ memo across epochs
+// ---------------------------------------------------------------------
+
+/// A drift-fresh reuse runs the full workflow on the pilot's own, older
+/// snapshot: the ε₀ memo the pilot carries from that epoch must answer
+/// every later contract (met at n₀ or needing a search, δ on both sides
+/// of the level clamp) bit-equal to the cold oracle at that epoch, not
+/// at the current one.
+#[test]
+fn drift_fresh_reuse_answers_from_the_older_epochs_memo() {
+    let d = 4;
+    let pool = Arc::new(make_pool(2_400, d, 121));
+    let base = BlinkMlConfig {
+        num_param_samples: 100,
+        ..base_config(150, Some(1))
+    };
+    let spec = LogisticRegressionSpec::new(1e-3);
+    let seed = 3;
+    let eps0_at =
+        |delta| oracle_at(&base, &spec, &pool, 0, Query::new(5, 0.99, delta, seed)).initial_epsilon;
+    let met = eps0_at(0.05);
+    let tight = eps0_at(0.2) / 5.0;
+
+    let server = Server::spawn_with_streams(
+        base.clone(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        spec.clone(),
+        Vec::new(),
+        vec![StreamShard::from_arc(5, pool.clone())],
+    )
+    .expect("spawn server");
+    // Epoch 0: the leader trains the pilot and fills its memo.
+    let lead = Query::new(5, tight, 0.05, seed);
+    let served = server.query(lead).expect("cold query");
+    assert_eq!(served.epoch, 0);
+    check_response("lead", &base, &spec, &pool, lead, &served);
+
+    // Train-only append: N grows at epoch 1, the drift score is 0, and
+    // every query reuses the epoch-0 pilot on the epoch-0 snapshot.
+    pool.append(block(120, d, 7_001, 0.0)).expect("valid block");
+    assert_eq!(pool.epoch(), 1);
+    let queries = [
+        Query::new(5, met, 0.2, seed),
+        Query::new(5, met, 0.05, seed),
+        Query::new(5, tight, 0.2, seed),
+        Query::new(5, tight, 0.05, seed),
+    ];
+    for (i, &q) in queries.iter().enumerate() {
+        let served = server.query(q).expect("fresh query");
+        assert_eq!(
+            served.epoch, 0,
+            "query#{i}: fresh reuse pins the pilot's snapshot"
+        );
+        assert_eq!(served.rung, DegradationRung::Full);
+        let expected = oracle_at(&base, &spec, &pool, 0, q);
+        assert_eq!(expected.used_initial_model, q.epsilon == met);
+        check_response(&format!("fresh query#{i}"), &base, &spec, &pool, q, &served);
+        assert_eq!(
+            served.outcome.search_probes, expected.search_probes,
+            "fresh query#{i}: probes diverged"
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.drift_fresh, 4);
+    assert_eq!(
+        stats.pilot_trains, 1,
+        "the epoch-0 pilot serves every contract"
+    );
+    server.shutdown();
+}
